@@ -1,20 +1,13 @@
 """KERNEL — raw DES engine throughput (events/sec) per hot pattern.
 
 The fleet/chaos/load benches measure scenarios; this one measures the
-kernel itself, so a regression in event dispatch, timeout recycling,
+kernel itself, so a regression in event dispatch, timeout creation,
 store handoff or interrupt tombstoning is visible in isolation — and the
 committed ``BENCH_kernel.json`` records the trajectory across PRs.
 
-Every pattern runs once per scheduler backend (``repro.des.sched``), so
-the calendar queue and the reference heap are measured side by side and
-``BENCH_kernel.json`` keys its results per backend.  The throughput test
-also asserts the headline claim: the calendar queue beats the heap by at
-least 2x on at least one pattern (``deep-horizon`` is the one built to
-show it).
-
 Patterns:
 
-* ``timer-churn`` — one process yielding bare timeouts: the recycled
+* ``timer-churn`` — one process yielding bare timeouts: the
   delay-then-resume path every poll loop and compute step rides.
 * ``timer-fanout`` — 1000 concurrently ticking processes: heap pressure
   at fleet-like depth.
@@ -23,15 +16,14 @@ Patterns:
 * ``interrupt-storm`` — parked processes interrupted and resumed: the
   tombstone path fault recovery leans on.
 * ``deep-horizon`` — hundreds of thousands of pre-scheduled timeouts
-  spread over a wide horizon: the deep-schedule shape where a binary
-  heap pays O(log n) cache-hostile sift per event and a calendar queue
-  pays an O(1) bucket append.
+  spread over a wide horizon: the deep-schedule shape where the binary
+  heap pays its O(log n) cache-hostile sift per event.
 """
 
 import time
 
 from benchmarks.conftest import run_once, write_json
-from repro.des import Environment, Interrupt, Store, Timeout, available_backends
+from repro.des import Environment, Interrupt, Store, Timeout
 
 N_CHURN = 200_000
 N_FANOUT_PROCS = 1_000
@@ -49,8 +41,8 @@ def _timed(env: Environment, horizon=None):
     return env.events_processed, wall
 
 
-def bench_timer_churn(backend=None):
-    env = Environment(scheduler=backend)
+def bench_timer_churn():
+    env = Environment()
 
     def ticker():
         for _ in range(N_CHURN):
@@ -60,8 +52,8 @@ def bench_timer_churn(backend=None):
     return _timed(env)
 
 
-def bench_timer_fanout(backend=None):
-    env = Environment(scheduler=backend)
+def bench_timer_fanout():
+    env = Environment()
 
     def ticker(phase):
         for _ in range(N_FANOUT_TICKS):
@@ -72,8 +64,8 @@ def bench_timer_fanout(backend=None):
     return _timed(env)
 
 
-def bench_store_pingpong(backend=None):
-    env = Environment(scheduler=backend)
+def bench_store_pingpong():
+    env = Environment()
     ping, pong = Store(env), Store(env)
 
     def left():
@@ -91,8 +83,8 @@ def bench_store_pingpong(backend=None):
     return _timed(env)
 
 
-def bench_interrupt_storm(backend=None):
-    env = Environment(scheduler=backend)
+def bench_interrupt_storm():
+    env = Environment()
 
     def sleeper():
         woken = 0
@@ -116,8 +108,8 @@ def bench_interrupt_storm(backend=None):
     return _timed(env, horizon=1e8)
 
 
-def bench_deep_horizon(backend=None):
-    env = Environment(scheduler=backend)
+def bench_deep_horizon():
+    env = Environment()
     # Knuth-hash the index so insertion order is uncorrelated with event
     # time — the adversarial shape for a binary heap's sift path.
     for i in range(N_DEEP):
@@ -133,117 +125,66 @@ SCENARIOS = {
     "deep-horizon": bench_deep_horizon,
 }
 
-#: conservative events/sec floors per backend — a CI box is allowed to
-#: be ~10x slower than a dev laptop, but an accidental O(n) in the
-#: kernel (or a calendar width-adaptation pathology) is not
+#: conservative events/sec floors — a CI box is allowed to be ~10x
+#: slower than a dev laptop, but an accidental O(n) in the kernel is not
 FLOORS = {
-    "heap": {
-        "timer-churn": 100_000,
-        "timer-fanout": 100_000,
-        "store-pingpong": 80_000,
-        "interrupt-storm": 50_000,
-        "deep-horizon": 25_000,
-    },
-    "calendar": {
-        "timer-churn": 100_000,
-        "timer-fanout": 80_000,
-        "store-pingpong": 80_000,
-        "interrupt-storm": 50_000,
-        "deep-horizon": 60_000,
-    },
+    "timer-churn": 100_000,
+    "timer-fanout": 100_000,
+    "store-pingpong": 80_000,
+    "interrupt-storm": 50_000,
+    "deep-horizon": 25_000,
 }
-
-#: the headline acceptance claim: calendar >= 2x heap on at least one
-#: pattern (deep-horizon measures ~2.3x on a dev container)
-SPEEDUP_CLAIM = 2.0
 
 
 def test_kernel_throughput(benchmark, reporter):
     def matrix():
-        return {
-            backend: {name: fn(backend) for name, fn in SCENARIOS.items()}
-            for backend in available_backends()
-        }
+        return {name: fn() for name, fn in SCENARIOS.items()}
 
     results = run_once(benchmark, matrix)
     rows = [
-        [backend, name, events, f"{wall * 1e3:.1f}", f"{events / wall:,.0f}"]
-        for backend, per in results.items()
-        for name, (events, wall) in per.items()
+        [name, events, f"{wall * 1e3:.1f}", f"{events / wall:,.0f}"]
+        for name, (events, wall) in results.items()
     ]
     reporter.table(
-        "KERNEL: DES engine throughput per hot pattern x scheduler backend",
-        ["backend", "pattern", "events", "wall (ms)", "events/s"],
+        "KERNEL: DES engine throughput per hot pattern",
+        ["pattern", "events", "wall (ms)", "events/s"],
         rows,
     )
-    for backend, per in results.items():
-        for name, (events, wall) in per.items():
-            rate = events / wall
-            assert rate > FLOORS[backend][name], (
-                f"{backend}/{name}: {rate:,.0f} events/s below floor "
-                f"{FLOORS[backend][name]:,}"
-            )
-    # Identical workloads must process identical event counts on every
-    # backend — a backend cannot buy throughput by dropping work.
-    reference = results["heap"]
-    for backend, per in results.items():
-        for name, (events, _wall) in per.items():
-            assert events == reference[name][0], (
-                f"{backend}/{name}: {events} events vs heap's {reference[name][0]}"
-            )
-    best = max(
-        (per[name][0] / per[name][1]) / (reference[name][0] / reference[name][1])
-        for backend, per in results.items()
-        if backend != "heap"
-        for name in per
-    )
-    reporter.note(f"KERNEL: best non-heap speedup over heap {best:.2f}x")
-    assert best >= SPEEDUP_CLAIM, (
-        f"no backend reached {SPEEDUP_CLAIM}x over heap (best {best:.2f}x)"
-    )
+    for name, (events, wall) in results.items():
+        rate = events / wall
+        assert rate > FLOORS[name], (
+            f"{name}: {rate:,.0f} events/s below floor {FLOORS[name]:,}"
+        )
     write_json(
         "BENCH_kernel.json",
         {
-            backend: {
-                name: {
-                    "events": events,
-                    "wall_seconds": wall,
-                    "events_per_sec": events / wall,
-                }
-                for name, (events, wall) in per.items()
+            name: {
+                "events": events,
+                "wall_seconds": wall,
+                "events_per_sec": events / wall,
             }
-            for backend, per in results.items()
+            for name, (events, wall) in results.items()
         },
-        wall_seconds=sum(
-            wall for per in results.values() for (_e, wall) in per.values()
-        ),
-        events=sum(
-            events for per in results.values() for (events, _w) in per.values()
-        ),
+        wall_seconds=sum(wall for (_e, wall) in results.values()),
+        events=sum(events for (events, _w) in results.values()),
     )
 
 
 def test_kernel_smoke(reporter):
-    """CI smoke: the recycled-timeout path clears a conservative floor on
-    every scheduler backend (and the pool actually recycles on each)."""
-    for backend in available_backends():
-        env = Environment(scheduler=backend)
+    """CI smoke: the timeout path clears a conservative floor."""
+    env = Environment()
 
-        def ticker():
-            for _ in range(20_000):
-                yield env.timeout(0.001)
+    def ticker():
+        for _ in range(20_000):
+            yield env.timeout(0.001)
 
-        env.process(ticker())
-        t0 = time.perf_counter()
-        env.run()
-        wall = time.perf_counter() - t0
-        rate = env.events_processed / wall
-        reporter.note(
-            f"KERNEL smoke [{backend}]: {env.events_processed} events in "
-            f"{wall * 1e3:.1f} ms ({rate:,.0f} events/s), timeout pool size "
-            f"{len(env._timeout_pool)}"
-        )
-        assert rate > 50_000
-        # The pool actually recycles: a churn run must not allocate one
-        # Timeout per yield.
-        assert len(env._timeout_pool) >= 1
+    env.process(ticker())
+    t0 = time.perf_counter()
+    env.run()
+    wall = time.perf_counter() - t0
+    rate = env.events_processed / wall
+    reporter.note(
+        f"KERNEL smoke: {env.events_processed} events in "
+        f"{wall * 1e3:.1f} ms ({rate:,.0f} events/s)"
+    )
+    assert rate > 50_000

@@ -7,12 +7,11 @@ Design notes
 * A :class:`Process` wraps a generator.  The generator yields events; when
   a yielded event is processed the process resumes with the event's value,
   or has the event's exception thrown into it.
-* Time only advances in :meth:`Environment.run`; scheduling is a priority
-  queue keyed by ``(time, priority, sequence)`` so same-time events fire in
-  FIFO order — this determinism is load-bearing for tests.  The queue
-  itself is pluggable (:mod:`repro.des.sched`): a calendar-queue backend
-  for O(1) amortized scheduling at depth, with the PR-4 binary heap kept
-  as the reference backend; both pop in bit-identical order.
+* Time only advances in :meth:`Environment.run`; scheduling is one
+  ``heapq`` binary heap of ``(time, priority, sequence, event)`` tuples,
+  so same-time events fire by priority and then in FIFO order — this
+  determinism is load-bearing for tests.  ``sequence`` is unique, so the
+  trailing event object is never compared.
 * Failed events must be consumed.  If a failed event is processed and no
   waiter "defused" it, the exception propagates out of ``run()`` — silent
   failure of a simulated component would otherwise be invisible.
@@ -22,13 +21,10 @@ Hot-path notes (the fleet pushes millions of events through this file)
 * Every event class carries ``__slots__``: the kernel allocates one event
   per timeout/park/resume, and instance dicts double both the allocation
   cost and the memory traffic.
-* :meth:`Environment.timeout` recycles retired :class:`Timeout` objects
-  through a small free pool.  The dominant pattern — a process yields a
-  bare timeout and is resumed by it — leaves the event unreachable the
-  moment the process resumes, so :meth:`Environment.step` returns it to
-  the pool instead of the garbage collector.  Only timeouts whose single
-  callback was a process resume are recycled; anything a condition, a
-  delivery lambda, or user code might still hold is left alone.
+* :meth:`Environment.timeout` builds its :class:`Timeout` without the
+  ``__init__`` call chain and pushes straight onto the heap, whose
+  ``heappush``/``heappop`` are bound once per environment as
+  ``functools.partial`` objects over the C functions.
 * :meth:`Process.interrupt` does not remove the stale resume callback
   from the abandoned target (an O(n) ``list.remove``); it clears the
   process's ``_target`` and :meth:`Process._resume` drops events that are
@@ -40,11 +36,12 @@ Hot-path notes (the fleet pushes millions of events through this file)
 from __future__ import annotations
 
 from collections import deque
-from sys import getrefcount
+from functools import partial
+from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.des.sched import make_scheduler
 from repro.errors import SimulationError
 
 _PENDING = object()
@@ -53,10 +50,6 @@ _PENDING = object()
 #: (process initialization, interrupts).
 URGENT = 0
 NORMAL = 1
-
-#: Upper bound on the recycled-timeout pool; beyond this, retired
-#: timeouts go to the garbage collector like any other object.
-_TIMEOUT_POOL_MAX = 4096
 
 
 class Event:
@@ -130,8 +123,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # NaN fails this too
+            raise SimulationError(f"invalid timeout delay {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -262,11 +255,6 @@ class Process(Event):
         env._active_process = None
 
 
-#: ``Process._resume`` unbound, used by the recycler to recognise
-#: retire-on-resume timeouts without touching attribute machinery.
-_PROCESS_RESUME = Process._resume
-
-
 class Condition(Event):
     """Composite event over several sub-events (base for AnyOf/AllOf).
 
@@ -340,21 +328,18 @@ class AllOf(Condition):
 class Environment:
     """Owner of virtual time and the event queue."""
 
-    def __init__(self, initial_time: float = 0.0, scheduler=None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self.now = float(initial_time)
-        #: pluggable event queue (:mod:`repro.des.sched`): ``scheduler``
-        #: may be a backend name, an instance, or None (consult the
-        #: ``REPRO_DES_SCHEDULER`` env var, then the default backend).
-        #: ``push``/``pop`` are bound once — the hot paths below go
-        #: through these attributes, never through a lookup per event.
-        self._sched = make_scheduler(scheduler)
-        self._push = self._sched.push
-        self._pop = self._sched.pop
+        #: the event queue: a binary heap of ``(time, priority, seq,
+        #: event)`` tuples.  ``_push``/``_pop`` are bound once — the hot
+        #: paths below go through these attributes, never through a
+        #: lookup per event.
+        self._q: list = []
+        self._push = partial(heappush, self._q)
+        self._pop = partial(heappop, self._q)
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._pending_failures: deque[BaseException] = deque()
-        #: retired Timeout objects awaiting reuse (see module docstring)
-        self._timeout_pool: list[Timeout] = []
         #: total events processed since construction (profiling/benching)
         self.events_processed = 0
         #: optional :class:`repro.perf.Profiler` receiving step timings
@@ -366,7 +351,7 @@ class Environment:
         #: slices) uses to inject work.  A paced wall-clock driver
         #: (:mod:`repro.live.pacing`) installs its waker here so a sleep
         #: until the *previous* next-event time is cut short when new,
-        #: earlier work arrives.  The recycled-timeout fast paths
+        #: earlier work arrives.  The timeout fast paths
         #: (:meth:`timeout` / :meth:`timeout_until`) deliberately skip
         #: the hook: they are only reachable from processes already
         #: running inside ``step()``, while the pacer is awake.
@@ -386,26 +371,19 @@ class Environment:
         return Event(self)
 
     def _fresh_timeout(self, value: Any) -> Timeout:
-        """An unscheduled Timeout from the recycle pool (or a new one)."""
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = value
-            ev.defused = False
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev.defused = False
+        """An unscheduled Timeout, built without the ``__init__`` chain."""
+        ev = Timeout.__new__(Timeout)
+        ev.env = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev.defused = False
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A timeout ``delay`` from now, drawn from the recycle pool."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        """A timeout ``delay`` from now."""
+        if not delay >= 0:  # NaN fails this too
+            raise SimulationError(f"invalid timeout delay {delay!r}")
         ev = self._fresh_timeout(value)
         ev.delay = delay
         self._seq += 1
@@ -419,7 +397,7 @@ class Environment:
         not always float-identical to ``at``; processes replaying a
         skipped poll grid (see the service pumps) need the exact heap key.
         """
-        if at < self.now:
+        if not at >= self.now:  # NaN fails this too
             raise SimulationError(f"timeout_until({at}) is in the past (now={self.now})")
         ev = self._fresh_timeout(value)
         ev.delay = at - self.now
@@ -440,62 +418,20 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        return self._sched.peek_time()
+        q = self._q
+        return q[0][0] if q else inf
 
     @property
     def pending(self) -> int:
         """Number of scheduled-but-unprocessed events."""
-        return len(self._sched)
+        return len(self._q)
 
     def step(self) -> None:
-        """Process exactly one event."""
-        try:
-            time, _prio, _seq, event = self._pop()
-        except IndexError:
-            raise SimulationError("step() on an empty schedule") from None
-        if time < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = time
-        callbacks = event.callbacks
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
-        self._finish_step(event, callbacks)
+        """Process exactly one event.
 
-    def _finish_step(self, event: Event, callbacks: list) -> None:
-        """Post-callback tail shared by the step variants: accounting,
-        failure surfacing, and timeout recycling."""
-        self.events_processed += 1
-        if not event._ok and not event.defused:
-            raise event._value
-        pending = self._pending_failures
-        if pending:
-            raise pending.popleft()
-        # Recycle the dominant delay-then-resume pattern: a timeout whose
-        # only watcher was a process resume is unreachable once that
-        # process moved on, so hand it back to the pool.
-        if (
-            type(event) is Timeout
-            and len(callbacks) == 1
-            and getattr(callbacks[0], "__func__", None) is _PROCESS_RESUME
-            and getrefcount(event) == 3
-        ):
-            # The refcount guard (3 = step's local + this frame's
-            # argument + getrefcount's argument) proves nothing else — a
-            # generator frame, a condition, user code — still holds the
-            # object, so a held timeout keeps its documented
-            # post-processing Event API instead of being reused under
-            # the holder's feet.
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                pool.append(event)
-
-    def _step_profiled(self) -> None:
-        """Like :meth:`step`, with per-callback time attribution.
-
-        Kept separate so the unprofiled hot loop pays nothing for the
-        instrumentation.  Tolerates the profiler being detached mid-run:
-        remaining steps simply stop recording.
+        With a :class:`repro.perf.Profiler` attached, each callback's
+        time is attributed to it; a profiler detached mid-run simply
+        stops recording.
         """
         try:
             time, _prio, _seq, event = self._pop()
@@ -515,7 +451,12 @@ class Environment:
                 t0 = perf_counter()
                 cb(event)
                 prof._record(cb, event, perf_counter() - t0)
-        self._finish_step(event, callbacks)
+        self.events_processed += 1
+        if not event._ok and not event.defused:
+            raise event._value
+        pending = self._pending_failures
+        if pending:
+            raise pending.popleft()
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the schedule drains, a deadline, or an event triggers.
@@ -525,12 +466,12 @@ class Environment:
           * a number — run until virtual time reaches it;
           * an :class:`Event` — run until it triggers, returning its value.
         """
-        step = self.step if self._profiler is None else self._step_profiled
+        step = self.step
+        q = self._q
         if isinstance(until, Event):
             stop = until
-            sched = self._sched
             while stop._value is _PENDING:
-                if not len(sched):
+                if not q:
                     raise SimulationError("schedule drained before the awaited event triggered")
                 step()
             if not stop._ok:
@@ -538,25 +479,12 @@ class Environment:
                 raise stop._value
             return stop._value
 
-        deadline = float("inf") if until is None else float(until)
-        if deadline != float("inf") and deadline < self.now:
+        deadline = inf if until is None else float(until)
+        if not deadline >= self.now:  # NaN fails this too
             raise SimulationError(f"run(until={deadline}) is in the past (now={self.now})")
-        heap = getattr(self._sched, "raw_heap", None)
-        if heap is not None:
-            # Reference backend: keep the PR-4 inline drain loop — no
-            # method call per event on the hottest loop in the repo.
-            while heap and heap[0][0] <= deadline:
-                step()
-        else:
-            peek = self._sched.peek_time
-            sched_len = self._sched.__len__
-            if deadline == float("inf"):
-                while sched_len():
-                    step()
-            else:
-                while peek() <= deadline:
-                    step()
-        if deadline != float("inf"):
+        while q and q[0][0] <= deadline:
+            step()
+        if deadline != inf:
             self.now = deadline
         return None
 

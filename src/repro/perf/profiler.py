@@ -1,9 +1,8 @@
 """Kernel profiler: event counts, events/sec, per-component attribution.
 
-The :class:`repro.des.Environment` runs an instrumented step path while a
-profiler is attached (and the pristine one otherwise, so an unprofiled
-run pays nothing).  Each event callback's wall time is attributed to a
-*component*:
+:meth:`repro.des.Environment.step` times each event callback while a
+profiler is attached (an unprofiled step pays one ``None`` check).
+Each event callback's wall time is attributed to a *component*:
 
 * a process resume is attributed to the process's generator function —
   ``_pump``, ``steered_app_process``, ``_session``, … — which maps
@@ -102,7 +101,7 @@ class Profiler:
     def __exit__(self, *exc) -> None:
         self.detach()
 
-    # -- recording (called by Environment._step_profiled) ------------------
+    # -- recording (called by Environment.step) ---------------------------
 
     def _record(self, cb, event, seconds: float) -> None:
         name = _component_of(cb, event)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt, Mailbox, Resource, Store
+from repro.des import Environment, Interrupt, Mailbox, Resource, Store, Timeout
 from repro.errors import SimulationError
 
 
@@ -332,3 +332,46 @@ def test_event_double_trigger_rejected():
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
+
+
+def test_nan_is_rejected_at_every_time_entry_point():
+    nan = float("nan")
+    env = Environment()
+    with pytest.raises(SimulationError):
+        Timeout(env, nan)
+    with pytest.raises(SimulationError):
+        env.timeout(nan)
+    with pytest.raises(SimulationError):
+        env.timeout_until(nan)
+    with pytest.raises(SimulationError):
+        env.run(until=nan)
+    assert env.now == 0.0
+    assert env.pending == 0
+    # +inf stays a legal "never" on every entry point.
+    Timeout(env, float("inf"))
+    env.timeout(float("inf"))
+    env.timeout_until(float("inf"))
+    env.run(until=float("inf"))
+    assert env.now == float("inf")
+
+
+# -- the event queue ---------------------------------------------------------
+
+
+def test_environment_pending_and_peek():
+    env = Environment()
+    assert env.pending == 0
+    assert env.peek() == float("inf")
+    env.timeout(3.0)
+    env.timeout(1.0)
+    assert env.pending == 2
+    assert env.peek() == 1.0
+    env.run()
+    assert env.pending == 0
+    assert env.peek() == float("inf")
+
+
+def test_step_on_empty_schedule_raises():
+    env = Environment()
+    with pytest.raises(SimulationError, match="empty schedule"):
+        env.step()

@@ -1,247 +1,111 @@
-"""The scheduler seam: every backend is the same kernel.
+"""The kernel's event-queue contract.
 
-The calendar queue is only admissible because it pops events in exactly
-the heap's ``(time, priority, seq)`` order — these tests pin that at
-three levels: raw scheduler pop order, whole-workload event traces
-(hypothesis-driven random worlds with timeouts, interrupts and
-conditions), and the adaptive-resize machinery that must stay
-deterministic and crash-free on degenerate shapes (same-instant floods,
-far-horizon sentinels).
+Events pop in ``(time, priority, seq)`` order: earliest first, URGENT
+before NORMAL at one instant, then FIFO.  These tests pin that at two
+levels: raw queue order (including far-horizon and +inf times), and
+whole-workload event traces of random worlds with timeouts, interrupts
+and conditions.
+
+The kernel's only queue is the ``heapq`` heap, so the ``[heap]`` cases
+keep the ids they had while a calendar-queue backend also ran them.  The
+trace tests replay ``tests/golden/des_kernel_traces.json``, recorded
+while both backends ran every world and agreed, so the kernel must still
+produce the trace both backends produced.
 """
 
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.des import (
-    CalendarScheduler,
-    Environment,
-    HeapScheduler,
-    Interrupt,
-    available_backends,
-    make_scheduler,
-)
-from repro.des.sched import DEFAULT_BACKEND, ENV_VAR
-from repro.errors import SimulationError
+from repro.des import Environment, Interrupt
+from repro.des.core import NORMAL, URGENT
 
-BACKENDS = list(available_backends())
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+STRESSED = (20, 25)  # (n_procs, n_steps) of the biggest recorded worlds
 
 
-def _item(t, prio=1, seq=0):
-    return (t, prio, seq, f"ev-{t}-{prio}-{seq}")
+def _fire_order(plan):
+    """Enqueue one pre-succeeded event per ``(time, priority)`` in
+    ``plan`` and return the plan indices in the order they fired."""
+    env = Environment()
+    fired = []
+    for i, (t, prio) in enumerate(plan):
+        ev = env.event()
+        ev._ok, ev._value = True, None
+        ev.callbacks.append(lambda e, i=i: fired.append(i))
+        env._enqueue(ev, prio, t)
+    return env, fired
 
 
-def _drain(sched):
-    out = []
-    while len(sched):
-        out.append(sched.pop())
-    return out
+def _expected(plan):
+    return sorted(range(len(plan)), key=lambda i: (*plan[i], i))
 
 
 # -- raw pop-order contract --------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ["heap"])
 def test_pop_order_is_time_priority_seq(backend):
-    sched = make_scheduler(backend)
-    items = [
-        _item(5.0, 1, 3),
-        _item(0.5, 1, 1),
-        _item(0.5, 0, 2),  # URGENT beats NORMAL at the same instant
-        _item(0.5, 1, 0),  # seq breaks the final tie
-        _item(12.25, 1, 4),
-        _item(0.5, 0, 5),
+    plan = [
+        (5.0, NORMAL),
+        (0.5, NORMAL),
+        (0.5, URGENT),  # URGENT beats NORMAL at the same instant
+        (0.5, NORMAL),  # seq breaks the final tie
+        (12.25, NORMAL),
+        (0.5, URGENT),
     ]
-    for it in items:
-        sched.push(it)
-    assert _drain(sched) == sorted(items)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pop_empty_raises_indexerror(backend):
-    sched = make_scheduler(backend)
-    with pytest.raises(IndexError):
-        sched.pop()
-    assert sched.peek_time() == float("inf")
-    assert len(sched) == 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_far_horizon_and_inf_items_order_correctly(backend):
-    sched = make_scheduler(backend)
-    items = [
-        _item(float("inf"), 1, 0),
-        _item(1e19, 1, 1),  # beyond the far horizon, bucketing bypassed
-        _item(2.0, 1, 2),
-        _item(1e9, 1, 3),  # a sleep-forever sentinel, still bucketed
-    ]
-    for it in items:
-        sched.push(it)
-    assert sched.peek_time() == 2.0
-    assert _drain(sched) == sorted(items)
-
-
-def test_calendar_push_into_draining_year_keeps_order():
-    # The kernel schedules at now+delay only; a push landing in the year
-    # currently being drained must bisect into the sorted remainder.
-    sched = CalendarScheduler(width=1.0)
-    for it in (_item(0.1, 1, 0), _item(0.2, 1, 1), _item(0.9, 1, 2)):
-        sched.push(it)
-    assert sched.pop() == _item(0.1, 1, 0)
-    late = _item(0.15, 1, 3)
-    sched.push(late)
-    urgent_now = _item(0.15, 0, 4)
-    sched.push(urgent_now)
-    assert _drain(sched) == [urgent_now, late, _item(0.2, 1, 1), _item(0.9, 1, 2)]
-
-
-def test_calendar_peek_promotes_and_matches_pop():
-    sched = CalendarScheduler(width=0.5)
-    for seq, t in enumerate([3.7, 0.2, 9.1]):
-        sched.push(_item(t, 1, seq))
-    assert sched.peek_time() == 0.2
-    assert sched.pop()[0] == 0.2
-    assert sched.peek_time() == 3.7
-
-
-# -- adaptive width ----------------------------------------------------------
-
-
-def test_calendar_shrinks_on_overfull_spread_bucket():
-    sched = CalendarScheduler(width=100.0, target_occupancy=4, max_occupancy=16)
-    items = [_item(i * 0.37, 1, i) for i in range(200)]
-    for it in items:
-        sched.push(it)
-    assert sched.resizes >= 1
-    assert _drain(sched) == sorted(items)
-
-
-def test_calendar_same_instant_flood_does_not_resize_or_crash():
-    # A same-instant flood has zero span: no width can split it, so the
-    # queue must keep it as one bucket instead of chasing the width to
-    # zero (the old behaviour NaN'd on floor(0.0 * inf)).
-    sched = CalendarScheduler(width=1.0, target_occupancy=4, max_occupancy=16)
-    items = [_item(0.0, 1, seq) for seq in range(500)]
-    for it in items:
-        sched.push(it)
-    assert sched.resizes == 0
-    assert _drain(sched) == sorted(items)
-
-
-def test_calendar_widens_on_sparse_buckets():
-    sched = CalendarScheduler(width=0.001, target_occupancy=16, adapt_interval=64)
-    items = [_item(float(i), 1, i) for i in range(300)]
-    for it in items:
-        sched.push(it)
-    assert _drain(sched) == sorted(items)
-    assert sched.resizes >= 1
-
-
-def test_calendar_resize_schedule_is_deterministic():
-    def run():
-        rng = random.Random(1234)
-        sched = CalendarScheduler(width=1.0, target_occupancy=4, max_occupancy=32)
-        trace = []
-        seq = 0
-        now = 0.0
-        for _ in range(2000):
-            if len(sched) and rng.random() < 0.45:
-                item = sched.pop()
-                now = item[0]
-                trace.append(item)
-            else:
-                sched.push((now + rng.random() * 50.0, rng.choice((0, 1)), seq, seq))
-                seq += 1
-        trace.extend(_drain(sched))
-        return trace, sched.resizes
-
-    a_trace, a_resizes = run()
-    b_trace, b_resizes = run()
-    assert a_trace == b_trace
-    assert a_resizes == b_resizes
-    assert a_trace == sorted(a_trace, key=lambda i: i[:3])
-
-
-def test_calendar_rejects_bad_construction():
-    with pytest.raises(SimulationError):
-        CalendarScheduler(width=0.0)
-    with pytest.raises(SimulationError):
-        CalendarScheduler(width=float("inf"))
-    with pytest.raises(SimulationError):
-        CalendarScheduler(target_occupancy=0)
-    with pytest.raises(SimulationError):
-        CalendarScheduler(target_occupancy=8, max_occupancy=4)
-
-
-# -- backend selection -------------------------------------------------------
-
-
-def test_make_scheduler_resolves_names_env_and_instances(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert make_scheduler().name == DEFAULT_BACKEND
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    monkeypatch.setenv(ENV_VAR, "heap")
-    assert isinstance(make_scheduler(), HeapScheduler)
-    inst = CalendarScheduler()
-    assert make_scheduler(inst) is inst
-    with pytest.raises(SimulationError):
-        make_scheduler("btree")
-    with pytest.raises(SimulationError):
-        make_scheduler(object())
-
-
-def test_environment_selects_backend(monkeypatch):
-    assert isinstance(Environment(scheduler="heap")._sched, HeapScheduler)
-    assert isinstance(Environment(scheduler="calendar")._sched, CalendarScheduler)
-    monkeypatch.setenv(ENV_VAR, "heap")
-    assert isinstance(Environment()._sched, HeapScheduler)
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert Environment()._sched.name == DEFAULT_BACKEND
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_environment_pending_and_peek(backend):
-    env = Environment(scheduler=backend)
-    assert env.pending == 0
-    assert env.peek() == float("inf")
-    env.timeout(3.0)
-    env.timeout(1.0)
-    assert env.pending == 2
-    assert env.peek() == 1.0
+    env, fired = _fire_order(plan)
     env.run()
-    assert env.pending == 0
+    assert fired == _expected(plan)
 
 
-# -- whole-kernel trace equivalence ------------------------------------------
+@pytest.mark.parametrize("backend", ["heap"])
+def test_far_horizon_and_inf_items_order_correctly(backend):
+    plan = [
+        (float("inf"), NORMAL),
+        (1e19, NORMAL),
+        (2.0, NORMAL),
+        (1e9, NORMAL),  # a sleep-forever sentinel
+    ]
+    env, fired = _fire_order(plan)
+    assert env.peek() == 2.0
+    env.run()
+    assert fired == _expected(plan)
 
 
-def _random_world(backend, seed, n_procs, n_steps):
+# -- whole-kernel traces -----------------------------------------------------
+
+
+def _random_world(seed, n_procs, n_steps, quantum=None):
     """A random world of timeouts, interrupts and conditions; returns
-    the exact (time, pid, step, tag) trace of every resume."""
-    env = Environment(scheduler=backend)
+    the exact (time, pid, step, tag) trace of every resume.  A
+    ``quantum`` snaps every delay down to its grid, so many events share
+    an instant and the (priority, seq) tie-break decides the trace."""
+    env = Environment()
     trace = []
     procs = []
 
     def worker(i, rng_seed):
         rng = random.Random(rng_seed)
+
+        def delay(scale):
+            d = rng.random() * scale
+            return d if quantum is None else quantum * int(d / quantum)
+
         for k in range(n_steps):
             roll = rng.random()
             try:
                 if roll < 0.55:
-                    yield env.timeout(rng.random() * 8.0)
+                    yield env.timeout(delay(8.0))
                     tag = "t"
                 elif roll < 0.7:
-                    yield env.any_of(
-                        [env.timeout(rng.random() * 4.0) for _ in range(2)]
-                    )
+                    yield env.any_of([env.timeout(delay(4.0)) for _ in range(2)])
                     tag = "any"
                 elif roll < 0.85:
-                    yield env.all_of(
-                        [env.timeout(rng.random() * 4.0) for _ in range(2)]
-                    )
+                    yield env.all_of([env.timeout(delay(4.0)) for _ in range(2)])
                     tag = "all"
                 else:
                     # Only poke lower-index workers: they initialized
@@ -249,14 +113,14 @@ def _random_world(backend, seed, n_procs, n_steps):
                     # a started generator (inside its try block).
                     if i and (victim := procs[rng.randrange(i)]).is_alive:
                         victim.interrupt(("poke", i, k))
-                    yield env.timeout(rng.random() * 2.0)
+                    yield env.timeout(delay(2.0))
                     tag = "poke"
             except Interrupt as intr:
                 tag = ("intr", intr.cause)
             trace.append((env.now, i, k, tag))
         # Park instead of returning: an interrupt in flight at the
-        # instant a process finishes is a (backend-independent) kernel
-        # error, and this test is about trace equivalence, not that edge.
+        # instant a process finishes is a kernel error, and this test is
+        # about the trace, not that edge.
         while True:
             try:
                 yield env.timeout(1e9)
@@ -270,58 +134,40 @@ def _random_world(backend, seed, n_procs, n_steps):
     return trace, env.now, env.events_processed
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**20),
-    n_procs=st.integers(2, 12),
-    n_steps=st.integers(1, 15),
-)
-def test_property_backends_produce_identical_traces(seed, n_procs, n_steps):
-    reference = _random_world("heap", seed, n_procs, n_steps)
-    for backend in BACKENDS:
-        if backend == "heap":
-            continue
-        assert _random_world(backend, seed, n_procs, n_steps) == reference
+def _recorded_cases(stressed):
+    cases = json.loads((GOLDEN / "des_kernel_traces.json").read_text())["cases"]
+    return [c for c in cases if ((c["n_procs"], c["n_steps"]) == STRESSED) == stressed]
+
+
+def _assert_replays(case):
+    # The golden pins the resume trace (as sha256 of its JSON), the final
+    # clock and the event count: any kernel change that reorders a single
+    # event — a new queue, a dispatch shortcut, a priority slip — moves it.
+    trace, now, events = _random_world(
+        case["seed"], case["n_procs"], case["n_steps"], case["quantum"]
+    )
+    got = {
+        **case,
+        "trace_sha256": hashlib.sha256(json.dumps(trace).encode()).hexdigest(),
+        "now": now,
+        "events_processed": events,
+    }
+    assert got == case
+
+
+def test_property_backends_produce_identical_traces():
+    # Worlds spanning 2-12 processes x 1-15 steps, with continuous and
+    # grid-snapped (tie-heavy) delays.
+    cases = _recorded_cases(stressed=False)
+    assert len(cases) == 31
+    for case in cases:
+        _assert_replays(case)
 
 
 def test_backends_identical_on_stressed_calendar_geometry():
-    # Big enough to force calendar resizes mid-run (tiny width, small
-    # max_occupancy) while the same world runs on the plain heap.
-    ref_trace, ref_now, ref_events = _random_world("heap", 99, 20, 25)
-    env_trace = _random_world("calendar", 99, 20, 25)
-    assert env_trace == (ref_trace, ref_now, ref_events)
-
-    # One 10s-wide bucket holds the whole world, so the draining year's
-    # remainder crosses max_occupancy and forces a mid-run shrink.
-    env = Environment(
-        scheduler=CalendarScheduler(width=10.0, target_occupancy=2, max_occupancy=8)
-    )
-    trace = []
-    procs = []
-
-    def worker(i, rng_seed):
-        rng = random.Random(rng_seed)
-        for k in range(25):
-            yield env.timeout(rng.random() * 8.0)
-            trace.append((env.now, i, k))
-
-    master = random.Random(99)
-    seeds = [master.randrange(2**30) for _ in range(20)]
-    for i, s in enumerate(seeds):
-        procs.append(env.process(worker(i, s)))
-    env.run()
-    assert env._sched.resizes >= 1
-    timeout_only = [(t, i, k, "t") for (t, i, k) in trace]
-    heap_env = Environment(scheduler="heap")
-    heap_trace = []
-
-    def heap_worker(i, rng_seed):
-        rng = random.Random(rng_seed)
-        for k in range(25):
-            yield heap_env.timeout(rng.random() * 8.0)
-            heap_trace.append((heap_env.now, i, k))
-
-    for i, s in enumerate(seeds):
-        heap_env.process(heap_worker(i, s))
-    heap_env.run()
-    assert timeout_only == [(t, i, k, "t") for (t, i, k) in heap_trace]
+    # The 20-process x 25-step world that forced calendar resizes mid-run,
+    # once with continuous delays and once snapped to a 0.25 s grid.
+    cases = _recorded_cases(stressed=True)
+    assert [(c["seed"], c["quantum"]) for c in cases] == [(99, None), (99, 0.25)]
+    for case in cases:
+        _assert_replays(case)

@@ -1,20 +1,19 @@
 """The optimized kernel must not change a single reported byte.
 
-The PR-4 hot-path work (slotted events, timeout recycling, tombstoned
-interrupts, parked viz pumps, stop-exiting steering pumps, bit-exact
-roll kernels, cached wire sizes) is only admissible because same-seed
-runs stay *byte-for-byte* identical to the seed behaviour.  The golden
-files under ``tests/golden/`` were generated from the pre-optimization
-tree; these tests fail on any drift — in latencies, counters, chaos
+Every kernel change (slotted events, tombstoned interrupts, parked viz
+pumps, stop-exiting steering pumps, bit-exact roll kernels, cached wire
+sizes, the single heapq event queue) is only admissible because
+same-seed runs stay *byte-for-byte* identical to the seed behaviour.
+The fleet and chaos goldens under ``tests/golden/`` were generated from
+the pre-optimization tree, the campaign-cell golden from the tree that
+still carried the calendar-queue scheduler (both of its backends agreed
+on it); these tests fail on any drift — in latencies, counters, chaos
 recovery verdicts or invariant results.
 """
 
 import json
 import pathlib
 
-import pytest
-
-from repro.des.sched import ENV_VAR, available_backends
 from repro.fleet import FleetDriver, fleet_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -58,38 +57,9 @@ def test_chaos_cell_matches_seed_golden():
     assert verdict["invariant_violations"] == 0
 
 
-# -- scheduler backends ------------------------------------------------------
-#
-# The calendar-queue scheduler (PR 8) is only admissible under the same
-# rule as the PR-4 work: same-seed runs must stay byte-for-byte
-# identical on *every* backend.  The goldens were generated on the heap;
-# each backend must reproduce them exactly.
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_fleet_golden_is_byte_identical_on_every_backend(backend, monkeypatch):
-    monkeypatch.setenv(ENV_VAR, backend)
-    report, _driver = _fleet_report()
-    ours = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    golden = (GOLDEN / "fleet_report_8.json").read_text().rstrip("\n")
-    assert ours == golden
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_chaos_golden_matches_on_every_backend(backend, monkeypatch):
-    from benchmarks.bench_chaos import _run
-
-    monkeypatch.setenv(ENV_VAR, backend)
-    report, verdict, _wall = _run("outage+vbroker")
-    golden = json.loads((GOLDEN / "chaos_outage_vbroker.json").read_text())
-    assert report.to_dict() == golden["report"]
-    assert verdict == golden["verdict"]
-
-
-def test_campaign_cell_identical_across_backends(monkeypatch):
+def test_campaign_cell_matches_golden():
     # One campaign cell (arrivals + faults + placement over the full
-    # stack) rerun per backend; everything but the wall-clock `perf`
-    # envelope must agree to the byte.
+    # stack); everything but the wall-clock `perf` envelope is pinned.
     from repro.campaign import AxisPoint, CampaignSpec, run_cell
 
     spec = CampaignSpec(
@@ -109,15 +79,10 @@ def test_campaign_cell_identical_across_backends(monkeypatch):
         policies=[AxisPoint("ll", {"placement": "least-loaded"})],
     )
     [cell] = spec.cells()
-    records = {}
-    for backend in available_backends():
-        monkeypatch.setenv(ENV_VAR, backend)
-        rec = run_cell(cell)
-        records[backend] = {k: v for k, v in rec.items() if k != "perf"}
-    reference = records.pop("heap")
-    for backend, rec in records.items():
-        assert json.dumps(rec, sort_keys=True) == \
-            json.dumps(reference, sort_keys=True), backend
+    rec = {k: v for k, v in run_cell(cell).items() if k != "perf"}
+    ours = json.dumps(rec, indent=2, sort_keys=True)
+    golden = (GOLDEN / "campaign_cell_xbackend.json").read_text().rstrip("\n")
+    assert ours == golden
 
 
 def test_pumps_stop_burning_events_after_sessions_end():

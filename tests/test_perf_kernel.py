@@ -1,4 +1,4 @@
-"""Unit tests for the PR-4 kernel hot paths and the repro.perf package."""
+"""Unit tests for the kernel hot paths and the repro.perf package."""
 
 import json
 from collections import deque
@@ -14,34 +14,12 @@ from repro.perf import Profiler, load_bench, peak_rss_bytes, write_bench
 from repro.perf.profiler import _component_of
 
 
-# -- timeout recycling -------------------------------------------------------
-
-
-def test_timeout_pool_recycles_resume_only_timeouts():
-    env = Environment()
-
-    def sleeper():
-        yield env.timeout(1.0)
-        yield env.timeout(1.0)
-
-    env.process(sleeper())
-    env.run()
-    # Both yielded timeouts retired through the pool (recycling happens
-    # when the event's step completes, so the second yield — issued
-    # mid-step — allocated fresh and both retired afterwards).
-    assert len(env._timeout_pool) == 2
-    recycled = env._timeout_pool[-1]
-    again = env.timeout(5.0)
-    assert again is recycled
-    # A reused timeout is a fresh event: pending callbacks, new value.
-    assert again.callbacks == []
-    assert again.delay == 5.0
+# -- timeouts ----------------------------------------------------------------
 
 
 def test_held_timeout_is_never_recycled():
-    # A timeout the generator frame still references must keep its
-    # documented post-processing Event API (.value/.ok/.processed): the
-    # recycler's refcount guard must refuse to reuse it.
+    # A processed timeout the generator frame still references keeps its
+    # documented post-processing Event API (.value/.ok/.processed).
     env = Environment()
     seen = {}
 
@@ -49,28 +27,30 @@ def test_held_timeout_is_never_recycled():
         t = env.timeout(1.0, value="x")
         yield t
         yield env.timeout(1.0)
-        t3 = env.timeout(1.0, value="z")
-        seen["same_obj"] = t3 is t
-        yield t3
+        yield env.timeout(1.0, value="z")
         seen["t_value"] = t.value
+        seen["t_ok"] = t.ok
         seen["t_processed"] = t.processed
 
     env.process(holder())
     env.run()
-    assert seen == {"same_obj": False, "t_value": "x", "t_processed": True}
+    assert seen == {"t_value": "x", "t_ok": True, "t_processed": True}
 
 
 def test_timeout_watched_by_condition_is_not_recycled():
     env = Environment()
+    first, second = env.timeout(1.0, value="a"), env.timeout(2.0, value="b")
+    got = []
 
     def racer():
-        yield AnyOf(env, [env.timeout(1.0), env.timeout(2.0)])
+        got.append((yield AnyOf(env, [first, second])))
 
     env.process(racer())
     env.run()
-    # The two condition-watched timeouts must not enter the pool (a
-    # waiter may still hold them); only process-resume timeouts recycle.
-    assert len(env._timeout_pool) == 0
+    # Both condition-watched timeouts stay readable after processing.
+    assert got == [{first: "a"}]
+    assert first.processed and second.processed
+    assert (first.value, second.value) == ("a", "b")
 
 
 def test_timeout_with_extra_callback_is_not_recycled():
@@ -80,7 +60,6 @@ def test_timeout_with_extra_callback_is_not_recycled():
     ev.callbacks.append(lambda e: seen.append(e.value))
     env.run()
     assert seen == ["x"]
-    assert len(env._timeout_pool) == 0
     # The event object stays readable after processing.
     assert ev.ok and ev.value == "x"
 
