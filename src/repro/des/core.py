@@ -28,7 +28,12 @@ Hot-path notes (the fleet pushes millions of events through this file)
 * :meth:`Process.interrupt` does not remove the stale resume callback
   from the abandoned target (an O(n) ``list.remove``); it clears the
   process's ``_target`` and :meth:`Process._resume` drops events that are
-  no longer the current target (tombstoning).
+  no longer the current target (tombstoning).  A process interrupted
+  before it started keeps its :class:`Initialize` target, so the
+  generator starts and the interrupt lands at its first yield.
+* :meth:`Environment.step` carries no hook: wall time per layer is
+  measured by wrapping ``step`` from outside (``perfbench/run.py
+  --trace 1``), so an unobserved step pays nothing for observation.
 * ``_pending_failures`` is a deque: failures surface FIFO via
   ``popleft`` instead of ``list.pop(0)``.
 """
@@ -39,7 +44,6 @@ from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -198,18 +202,24 @@ class Process(Event):
         The abandoned target keeps its (now stale) resume callback — a
         tombstone — which :meth:`_resume` ignores because the event is no
         longer the process's ``_target``.  This avoids the O(n)
-        ``callbacks.remove`` a busy event would otherwise pay.
+        ``callbacks.remove`` a busy event would otherwise pay.  A process
+        not yet started keeps its :class:`Initialize` target: the
+        generator runs to its first yield and the interrupt lands there.
         """
         if self._value is not _PENDING:
             raise SimulationError("cannot interrupt a finished process")
-        self._target = None
+        if type(self._target) is not Initialize:
+            self._target = None
         _InterruptEvent(self.env, self, cause)
 
     def _resume(self, event: Event) -> None:
         # Tombstone check: an event that is no longer the park target was
         # abandoned by interrupt(); drop its callback silently.  Interrupt
-        # events themselves always land (several may be in flight).
-        if event is not self._target and type(event) is not _InterruptEvent:
+        # events land (several may be in flight) unless the process has
+        # already finished.
+        if event is not self._target and (
+            type(event) is not _InterruptEvent or self._value is not _PENDING
+        ):
             return
         self._target = None
         env = self.env
@@ -342,8 +352,6 @@ class Environment:
         self._pending_failures: deque[BaseException] = deque()
         #: total events processed since construction (profiling/benching)
         self.events_processed = 0
-        #: optional :class:`repro.perf.Profiler` receiving step timings
-        self._profiler = None
         #: optional zero-arg pacing hook fired whenever an event is
         #: scheduled through :meth:`_enqueue` — process initialization,
         #: ``succeed``/``fail`` and plain :class:`Timeout` construction,
@@ -427,12 +435,8 @@ class Environment:
         return len(self._q)
 
     def step(self) -> None:
-        """Process exactly one event.
-
-        With a :class:`repro.perf.Profiler` attached, each callback's
-        time is attributed to it; a profiler detached mid-run simply
-        stops recording.
-        """
+        """Process exactly one event: run its callbacks in order, then
+        surface an undefused failure."""
         try:
             time, _prio, _seq, event = self._pop()
         except IndexError:
@@ -442,15 +446,8 @@ class Environment:
         self.now = time
         callbacks = event.callbacks
         event.callbacks = None
-        prof = self._profiler
-        if prof is None:
-            for cb in callbacks:
-                cb(event)
-        else:
-            for cb in callbacks:
-                t0 = perf_counter()
-                cb(event)
-                prof._record(cb, event, perf_counter() - t0)
+        for cb in callbacks:
+            cb(event)
         self.events_processed += 1
         if not event._ok and not event.defused:
             raise event._value

@@ -305,14 +305,20 @@ class FleetDriver:
         try:
             yield self.env.timeout(at - self.env.now)
         except Interrupt as intr:
-            # Cancelled while waiting for its admission instant.
-            self.telemetry.session(spec.name).mark_failed(
-                f"cancelled: {intr.cause}", self.env.now
-            )
-            self.active.pop(spec.name, None)
-            self._notify_session("cancel", spec.name, site.index)
+            self._cancelled_before_start(spec, site, intr)
             return
         yield from self._session(spec, site, client, control_port)
+
+    def _cancelled_before_start(self, spec: ScenarioSpec, site: FleetSite, intr: Interrupt) -> None:
+        """Cancelled while waiting for its admission instant or offset."""
+        self.telemetry.session(spec.name).mark_failed(f"cancelled: {intr.cause}", self.env.now)
+        self._end_session(spec.name, site.index, "cancel")
+
+    def _end_session(self, name: str, site_index: int, outcome: str) -> None:
+        self.active.pop(name, None)
+        self.degraded.discard(name)
+        self.steer_requests.pop(name, None)
+        self._notify_session(outcome, name, site_index)
 
     # -- chaos / recovery hooks --------------------------------------------
 
@@ -416,7 +422,11 @@ class FleetDriver:
                  control_port: int):
         env = self.env
         tel = self.telemetry.session(spec.name)
-        yield env.timeout(spec.admission_offset)
+        try:
+            yield env.timeout(spec.admission_offset)
+        except Interrupt as intr:
+            self._cancelled_before_start(spec, site, intr)
+            return
         started = env.now
         client_host = self.net.host(client_name)
         uc = UnicoreClient(
@@ -552,10 +562,7 @@ class FleetDriver:
         finally:
             client.close()
             uc.close()
-            self.active.pop(spec.name, None)
-            self.degraded.discard(spec.name)
-            self.steer_requests.pop(spec.name, None)
-            self._notify_session(outcome, spec.name, site.index)
+            self._end_session(spec.name, site.index, outcome)
 
     def _viz_frame_hook(self, name: str):
         """Span-event + counter callback the viz service fires per

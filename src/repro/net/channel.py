@@ -69,7 +69,7 @@ class Connection:
 
     __slots__ = (
         "host", "peer_host", "port", "inbox", "peer", "closed",
-        "bytes_sent", "messages_sent", "_link", "_link_ver",
+        "bytes_sent", "messages_sent",
     )
 
     def __init__(self, host, peer_host, port: int) -> None:
@@ -81,11 +81,6 @@ class Connection:
         self.closed = False
         self.bytes_sent = 0
         self.messages_sent = 0
-        #: cached directed Link for host -> peer_host traffic, valid while
-        #: the network's link table is unchanged (every send pays the
-        #: topology lookup otherwise)
-        self._link = None
-        self._link_ver = -1
 
     @staticmethod
     def _pair(a: "Connection", b: "Connection") -> None:
@@ -113,12 +108,7 @@ class Connection:
             # failure signal, exactly as on a real flaky wide-area link.
             network.dropped_messages += 1
             return env.now
-        link = self._link
-        if link is None or self._link_ver != network._links_version:
-            link = self._link = network.link(
-                self.host.name, self.peer_host.name
-            )
-            self._link_ver = network._links_version
+        link = network.link(self.host.name, self.peer_host.name)
         deliver_at = link.reserve(pkt.size, env.now)
         self.bytes_sent += pkt.size
         self.messages_sent += 1

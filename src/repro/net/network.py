@@ -173,9 +173,6 @@ class Network:
         if log is not None:
             log.bind_clock(lambda: env.now)
         self.connect_attempts = 0
-        #: bumped whenever the link table changes; connections use it to
-        #: invalidate their cached Link objects
-        self._links_version = 0
         #: host pairs with no connectivity (WAN partition between sites)
         self._partitions: set[frozenset] = set()
         #: hosts cut off from everyone (site-wide outage)
@@ -209,7 +206,6 @@ class Network:
         rev = Link(b, a, latency, bandwidth)
         self._links[(a, b)] = fwd
         self._links[(b, a)] = rev
-        self._links_version += 1
         return fwd, rev
 
     def link(self, src: str, dst: str) -> Link:

@@ -6,9 +6,8 @@ viz-frame`` — so an operator can answer *why was this steer slow* with a
 tree, not a quantile.  Spans carry **virtual time only**: ids are
 assigned in creation order and every timestamp is ``env.now``, so two
 same-seed runs emit byte-identical span streams (the DES kernel already
-guarantees the creation order).  Wall-time attribution lives in
-:mod:`repro.perf.profiler`; :mod:`repro.obs.bridge` lays the two side by
-side in one Perfetto file.
+guarantees the creation order).  Wall time is not a span attribute:
+``perfbench/run.py --trace 1`` attributes it per layer from outside.
 
 Export is Chrome-trace/Perfetto JSON events (``ph: "X"`` complete spans,
 ``ph: "i"`` instants, ``ph: "M"`` thread names), one event per line in
@@ -258,9 +257,8 @@ class Tracer:
         """One Chrome-trace event per line; returns the event count.
 
         Pure sim-time payload, serialized with sorted keys — the
-        deterministic artifact the golden tests hash.  Perfetto opens
-        JSONL directly; :func:`repro.obs.bridge.write_chrome_trace` adds
-        the wall-time profiler lane when one is wanted.
+        deterministic artifact the golden tests hash.  Perfetto and
+        ``chrome://tracing`` open JSONL directly.
         """
         events = self.to_events()
         with open(path, "w", encoding="utf-8") as fh:

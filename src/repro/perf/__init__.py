@@ -1,13 +1,10 @@
-"""repro.perf — kernel profiling, unified benchmarking, regression gating.
+"""repro.perf — unified benchmarking and regression gating.
 
 The testbed's value is running *many* hostile scenarios; that is only
 practical if the DES kernel stays fast and, once fast, stays fast.  This
-package owns all three legs of that:
+package owns both legs of that (wall time per layer is measured from
+outside the code, by ``perfbench/run.py --trace 1``):
 
-* :class:`Profiler` — attaches to a :class:`repro.des.Environment` and
-  attributes wall time to components (process generators, event types)
-  via a dedicated profiled step path, so "where do the events go" is a
-  one-call question instead of a cProfile session;
 * :mod:`repro.perf.bench` — the unified bench runner: every
   ``benchmarks/bench_*.py`` emits its ``BENCH_*.json`` through
   :func:`~repro.perf.bench.write_bench`, which wraps the bench's own
@@ -24,11 +21,9 @@ from repro.perf.bench import (
     peak_rss_bytes,
     write_bench,
 )
-from repro.perf.profiler import Profiler
 
 __all__ = [
     "BENCH_SCHEMA",
-    "Profiler",
     "load_bench",
     "peak_rss_bytes",
     "write_bench",

@@ -141,6 +141,63 @@ def test_interrupt_delivers_cause():
     assert log == [(4.0, "wake up")]
 
 
+def test_interrupt_before_start_lands_at_first_yield():
+    # Interrupted in the instant it was created: the generator starts
+    # normally and the Interrupt is thrown at its first yield.
+    env = Environment()
+    log = []
+
+    def sleeper():
+        log.append(("started", env.now))
+        try:
+            yield env.timeout(100)
+        except Interrupt as i:
+            log.append((env.now, i.cause))
+        yield env.timeout(1)
+        return "done"
+
+    p = env.process(sleeper())
+    p.interrupt("early")
+    assert env.run(until=p) == "done"
+    assert log == [("started", 0.0), (0.0, "early")]
+    assert env.now == 1.0
+
+
+def test_interrupt_before_start_of_generator_that_never_yields():
+    # A generator that returns before its first yield finishes normally;
+    # the interrupt still in flight is dropped.
+    env = Environment()
+
+    def quick():
+        return "quick"
+        yield  # pragma: no cover - makes this a generator
+
+    p = env.process(quick())
+    p.interrupt("too late")
+    env.run()
+    assert p.ok and p.value == "quick"
+
+
+def test_interrupt_in_flight_when_process_finishes_is_dropped():
+    env = Environment()
+
+    def sleeper():
+        try:
+            yield env.timeout(100)
+        except Interrupt as i:
+            return i.cause
+
+    def interrupter(target):
+        yield env.timeout(4)
+        target.interrupt("first")
+        target.interrupt("second")
+
+    p = env.process(sleeper())
+    env.process(interrupter(p))
+    env.run()
+    assert p.value == "first"
+
+
 def test_anyof_returns_first_triggered():
     env = Environment()
 

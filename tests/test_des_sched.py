@@ -108,9 +108,8 @@ def _random_world(seed, n_procs, n_steps, quantum=None):
                     yield env.all_of([env.timeout(delay(4.0)) for _ in range(2)])
                     tag = "all"
                 else:
-                    # Only poke lower-index workers: they initialized
-                    # before this one, so the Interrupt always lands on
-                    # a started generator (inside its try block).
+                    # Only poke lower-index workers, as the recorded
+                    # traces did (the rng draws depend on it).
                     if i and (victim := procs[rng.randrange(i)]).is_alive:
                         victim.interrupt(("poke", i, k))
                     yield env.timeout(delay(2.0))
@@ -118,9 +117,8 @@ def _random_world(seed, n_procs, n_steps, quantum=None):
             except Interrupt as intr:
                 tag = ("intr", intr.cause)
             trace.append((env.now, i, k, tag))
-        # Park instead of returning: an interrupt in flight at the
-        # instant a process finishes is a kernel error, and this test is
-        # about the trace, not that edge.
+        # Park instead of returning, as the recorded traces did: a
+        # parked worker logs the pokes that reach it after its last step.
         while True:
             try:
                 yield env.timeout(1e9)

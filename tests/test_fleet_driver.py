@@ -79,6 +79,21 @@ def test_unusual_profile_gets_dedicated_client_host():
     assert "obs-dsl-0" in driver.net.hosts
 
 
+def test_cancel_in_the_admitting_instant_fails_the_session_cleanly():
+    driver = FleetDriver(n_sites=2)
+    seen = []
+    driver.session_observers.append(lambda kind, name, site: seen.append(kind))
+    spec = fleet_of(1)[0]
+    driver.admit(spec)
+    assert driver.request_steer(spec.name, 0.5)
+    assert driver.cancel_session(spec.name, "now")
+    driver.env.run(until=5.0)  # the site pumps poll forever
+    assert spec.name not in driver.active
+    assert spec.name not in driver.steer_requests
+    assert driver.telemetry.session(spec.name).failure == "cancelled: now"
+    assert seen == ["start", "cancel"]
+
+
 def test_driver_rejects_bad_fleets():
     with pytest.raises(ReproError):
         FleetDriver([])

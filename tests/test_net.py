@@ -244,6 +244,43 @@ def test_traffic_accounting():
     assert net.total_bytes() >= 5000
 
 
+def test_link_added_after_connect_carries_later_sends():
+    # A connection opened over the implicit default link routes every
+    # later send over a link added with add_link(), at its latency.
+    env = Environment()
+    net = Network(env, default_latency=0.050, default_bandwidth=1e6)
+    net.add_host("a")
+    net.add_host("b")
+    sent = []
+    arrivals = []
+    links = []
+
+    def server():
+        lst = net.host("b").listen(1)
+        conn = yield from lst.accept()
+        for _ in range(2):
+            msg = yield from conn.recv()
+            arrivals.append((env.now, msg))
+
+    def client():
+        conn = yield from net.host("a").connect("b", 1)
+        sent.append(env.now)
+        conn.send(b"x" * 1000)
+        yield env.timeout(1.0)
+        links.extend(net.add_link("a", "b", latency=0.200, bandwidth=1e6))
+        sent.append(env.now)
+        conn.send(b"y" * 1000)
+
+    env.process(server())
+    env.process(client())
+    env.run()
+    # 1000 B at 1e6 B/s = 1 ms serialization, then the link's latency.
+    assert arrivals[0][0] == pytest.approx(sent[0] + 0.051)
+    assert arrivals[1][0] == pytest.approx(sent[1] + 0.201)
+    assert [msg for _, msg in arrivals] == [b"x" * 1000, b"y" * 1000]
+    assert links[0].bytes_carried == 1000
+
+
 def test_duplicate_host_rejected():
     env = Environment()
     net = Network(env)

@@ -351,25 +351,3 @@ def test_snapshot_is_json_able_and_complete():
     assert set(snap["breakers"]) == {"broker", "registry"}
     assert snap["trace"]["sessions"] > 0
     assert snap["metrics"]["repro_admission_offered_total"]
-
-
-def test_profiler_component_names_are_stable():
-    import functools
-
-    from repro.perf.profiler import _component_of
-
-    def cb(event):
-        pass
-
-    class Pump:
-        def __call__(self, event):
-            pass
-
-    name = _component_of(functools.partial(cb, 1), None)
-    assert name.startswith("partial(") and name.endswith(".cb)")
-    assert _component_of(
-        functools.partial(functools.partial(cb, 1), 2), None
-    ) == name
-    # Callable instances attribute by type, never by repr (address).
-    assert _component_of(Pump(), None) == _component_of(Pump(), None)
-    assert "0x" not in _component_of(Pump(), None)
